@@ -57,6 +57,7 @@ from .fourier import (
     GroupFunction,
     Spectrum,
     convolve,
+    convolve_counts,
     dft,
     expectation,
     indicator,

@@ -7,8 +7,9 @@ Residues use canonical representatives in [0, p); interval sets are 1-based.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -19,7 +20,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n == q:
             return True
         if n % q == 0:
@@ -92,7 +93,8 @@ class ResidueSet:
         return iter(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
+        i = bisect_left(self.elements, x)
+        return i < len(self.elements) and self.elements[i] == x
 
 
 @dataclass(frozen=True)
@@ -176,21 +178,7 @@ def iterated_sumset(A: ResidueSet, w: int) -> ResidueSet:
     return result
 
 
-def difference_set(A: ResidueSet, B: ResidueSet) -> ResidueSet:
-    """{a - b mod p}."""
-    return sumset(A, dilate_set(B, -1)) if len(B) else ResidueSet(A.group, ())
-
-
-def complement(A: ResidueSet) -> ResidueSet:
-    members = set(A.elements)
-    return ResidueSet(A.group, tuple(x for x in range(A.group.p) if x not in members))
-
-
 def intersect(A: ResidueSet, B: ResidueSet) -> ResidueSet:
     if A.group != B.group:
         raise ValueError("operands live in different groups")
     return ResidueSet(A.group, tuple(set(A.elements) & set(B.elements)))
-
-
-def from_iterable(group: PrimeCyclicGroup, xs: Iterable[int]) -> ResidueSet:
-    return ResidueSet(group, tuple(int(x) % group.p for x in xs))

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from . import fourier
-from .cyclic import IntervalSet, ResidueSet, dilate_set
+from .cyclic import IntervalSet, ResidueSet
 
 AnySet = Union[ResidueSet, IntervalSet]
 
@@ -117,19 +118,41 @@ def count_solutions_bruteforce(A: AnySet, eq: InvariantEquation) -> SolutionCoun
 
 
 def count_solutions_fast(A: ResidueSet, eq: InvariantEquation) -> SolutionCount:
-    """Exact count via the identity
+    """Exact count via the split identity
 
-        count = (1_{a_1 A} * 1_{a_2 A} * ... * 1_{a_k A})(0),
+        count = sum_y r(y) * r'(-y mod p),
 
-    computed with k-1 integer-exact convolutions of dilated indicators.
+    where r = 1_{a_1 A} * ... * 1_{a_h A} and r' = 1_{a_{h+1} A} * ... * 1_{a_k A}
+    with h = ceil(k/2): r(y) counts the first-half tuples with a_1 x_1 + ... +
+    a_h x_h = y, and r' does the same for the second half.
+
+    The dilated indicators are scattered straight from one int64 array of A.
+    Each half is one ``fourier.convolve_counts`` product, whose entries are at
+    most |A|^(ceil(k/2)-1); it is checked entry by entry and recomputed by
+    direct integer convolution when the check fails.  The final sum is exact:
+    an int64 dot product when |A|^(k-1), which bounds the count and every
+    partial sum, is below 2^63, and Python integers otherwise.
     """
-    if len(A) == 0:
+    n = len(A)
+    if n == 0:
         return SolutionCount(0, 0)
-    _check_coeffs_mod_p(eq, A.group.p)
-    conv = fourier.indicator(dilate_set(A, eq.coeffs[0]))
-    for a in eq.coeffs[1:]:
-        conv = fourier.convolve(conv, fourier.indicator(dilate_set(A, a)))
-    return SolutionCount(int(round(conv.values[0])), len(A))
+    p = A.group.p
+    _check_coeffs_mod_p(eq, p)
+    elems = np.asarray(A.elements, dtype=np.int64)
+    dilates: dict[int, np.ndarray] = {}
+    for u in {a % p for a in eq.coeffs}:
+        dilates[u] = np.zeros(p, dtype=np.int64)
+        dilates[u][u * elems % p] = 1
+    vectors = [dilates[a % p] for a in eq.coeffs]
+    half = (eq.arity + 1) // 2
+    r = fourier.convolve_counts(vectors[:half])
+    r_prime = fourier.convolve_counts(vectors[half:])
+    r_prime_neg = np.concatenate((r_prime[:1], r_prime[:0:-1]))
+    if n ** (eq.arity - 1) < fourier.INT64_LIMIT:
+        total = int(np.dot(r, r_prime_neg))
+    else:
+        total = sum(map(operator.mul, r.tolist(), r_prime_neg.tolist()))
+    return SolutionCount(total, n)
 
 
 def _sidon_equation(eq: InvariantEquation) -> bool:

@@ -8,15 +8,23 @@ Conventions, fixed once for the whole package:
     convolution      (f*g)(x)   = sum_t f(t) * g(x - t)
     L_q norm         ||f||_q    = (sum_x |f(x)|^q)^(1/q),  ||f||_inf = max |f|
 
-Convolutions of integer-valued functions are integer-exact: the FFT fast
-path is validated entry by entry (rounding residual below 0.1) and falls
-back to direct O(p^2) integer arithmetic when validation fails.
+Convolutions of integer-valued functions are checked: the FFT result is
+accepted when every entry lies within ROUNDING_RESIDUAL_LIMIT of an integer,
+and is otherwise recomputed by direct O(p^2) integer arithmetic.  ``convolve``
+takes one prime-length FFT per operand.  ``convolve_counts`` multiplies any
+number of non-negative integer vectors at once: one zero-padded power-of-two
+``rfft`` per distinct vector, one ``irfft``, and a fold mod p of the rounded
+linear convolution in int64.  It applies the residual check to every linear
+entry and skips the FFT whenever an a-priori bound on the entries reaches
+2^53, where float64 stops holding every integer.  The residual check catches
+gross precision loss; it is not a certified error bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +32,12 @@ from .cyclic import PrimeCyclicGroup, ResidueSet
 
 #: Largest per-entry distance from an integer tolerated on the FFT fast path.
 ROUNDING_RESIDUAL_LIMIT = 0.1
+
+#: Every integer of magnitude below this is exact in float64.
+FLOAT_EXACT_LIMIT = 2**53
+
+#: Entries must stay below this to be held exactly in int64.
+INT64_LIMIT = 2**63
 
 #: Inclusive tolerance for the large-spectrum threshold, relative to |X|.
 SPECTRUM_BOUNDARY_TOL = 1e-9
@@ -108,6 +122,58 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
             return GroupFunction(f.group, exact.astype(np.float64))
         return GroupFunction(f.group, rounded)
     return GroupFunction(f.group, raw)
+
+
+def convolve_counts(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Cyclic convolution v_1 * ... * v_m of non-negative integer vectors of
+    one length p, returned as an int64 array.
+
+    The linear convolution, of length m(p-1)+1, comes from one product of
+    zero-padded power-of-two ``rfft`` spectra (a vector passed more than once
+    is transformed once) and one ``irfft``; it is rounded, checked entry by
+    entry against ROUNDING_RESIDUAL_LIMIT, and folded mod p in int64.  Every
+    entry is at most B = min_j max(v_j) * prod_{i != j} sum(v_i).  When B
+    reaches FLOAT_EXACT_LIMIT, or the residual check fails, the product is
+    recomputed by direct integer convolution instead.  Raises ValueError when
+    B reaches INT64_LIMIT, since the result may not fit in int64.
+    """
+    if not vectors:
+        raise ValueError("need at least one vector")
+    vs = [np.asarray(v, dtype=np.int64) for v in vectors]
+    p = len(vs[0])
+    if any(v.shape != (p,) for v in vs):
+        raise ValueError("vectors must share one length")
+    if any(np.any(v < 0) for v in vs):
+        raise ValueError("vectors must be non-negative")
+    if len(vs) == 1:
+        return vs[0].copy()
+    sums = [int(v.sum()) for v in vs]
+    total = math.prod(sums)
+    if total == 0:
+        return np.zeros(p, dtype=np.int64)
+    bound = min(int(v.max()) * total // s for v, s in zip(vs, sums))
+    if bound >= INT64_LIMIT:
+        raise ValueError(f"convolution entries may reach {bound}, beyond int64")
+    if bound < FLOAT_EXACT_LIMIT:
+        length = len(vs) * (p - 1) + 1
+        n = 1 << (length - 1).bit_length()
+        spectra: dict[int, np.ndarray] = {}
+        product = None
+        for v in vs:
+            if id(v) not in spectra:
+                spectra[id(v)] = np.fft.rfft(v, n)
+            product = spectra[id(v)] if product is None else product * spectra[id(v)]
+        raw = np.fft.irfft(product, n)[:length]
+        rounded = np.rint(raw)
+        if np.max(np.abs(raw - rounded)) < ROUNDING_RESIDUAL_LIMIT:
+            folded = np.zeros(len(vs) * p, dtype=np.int64)
+            folded[:length] = rounded
+            return folded.reshape(len(vs), p).sum(axis=0)
+    # Precision failure, or entries beyond float64's exact range: recompute exactly.
+    out = vs[0]
+    for v in vs[1:]:
+        out = _convolve_exact_int(out, v)
+    return out
 
 
 def multi_convolve(f: GroupFunction, k: int) -> GroupFunction:

@@ -61,6 +61,16 @@ def test_residue_set_canonical_form():
         ResidueSet(g, (-1,))
 
 
+def test_membership_inside_and_outside_range():
+    g = PrimeCyclicGroup(13)
+    A = ResidueSet(g, (0, 4, 7, 12))
+    assert [x for x in range(13) if x in A] == [0, 4, 7, 12]
+    # Only canonical representatives are members: no reduction mod p.
+    for x in (-1, -13, 13, 17, 25, 10**20):
+        assert x not in A
+    assert 0 not in ResidueSet(g, ())
+
+
 def test_interval_set_bounds():
     A = IntervalSet(10, (3, 1, 1))
     assert A.elements == (1, 3)

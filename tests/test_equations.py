@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invariant_eq_lab import fourier
 from invariant_eq_lab.cyclic import IntervalSet, PrimeCyclicGroup, ResidueSet, translate_set, dilate_set
 from invariant_eq_lab.equations import (
     InvariantEquation,
@@ -111,6 +112,72 @@ class TestFastPath:
         count = count_solutions_fast(A, InvariantEquation((1, 1, 1, -3)))
         assert count.total == 82
         assert count.trivial == 10
+
+
+def full_group(p):
+    return ResidueSet(PrimeCyclicGroup(p), tuple(range(p)))
+
+
+def half_product_reference(vectors, p):
+    """Cyclic convolution by chained int64 np.convolve and a fold mod p."""
+    out = vectors[0]
+    for v in vectors[1:]:
+        lin = np.convolve(out, v)
+        out = lin[:p].copy()
+        out[: p - 1] += lin[p:]
+    return out
+
+
+class TestFastPathLargeCounts:
+    """Counts whose k-fold convolution passes 2^53, where a float64 FFT
+    chained over all k indicators loses exactness."""
+
+    @pytest.mark.parametrize("p, k", [(2003, 6), (211, 8), (8501, 5)])
+    def test_full_group_identity(self, p, k):
+        eq = InvariantEquation((1,) * (k - 1) + (-(k - 1),))
+        count = count_solutions_fast(full_group(p), eq)
+        assert count.total == p ** (k - 1)
+        assert count.trivial == p
+
+    def test_full_group_beyond_int64(self):
+        # 1009^7 > 2^63, so the final sum runs in Python integers.
+        assert 1009**7 >= 2**63
+        eq = InvariantEquation((1, 2, 1, -1, 3, -2, 1, -5))
+        assert count_solutions_fast(full_group(1009), eq).total == 1009**7
+
+    def test_dense_arity_six_against_reference(self):
+        p = 9239
+        rng = np.random.default_rng(9239)
+        elems = np.sort(rng.choice(p, size=p // 2, replace=False))
+        eq = InvariantEquation((1, -2, 3, 2, -3, -1))
+        A = ResidueSet(PrimeCyclicGroup(p), tuple(elems.tolist()))
+        vectors = []
+        for a in eq.coeffs:
+            v = np.zeros(p, dtype=np.int64)
+            v[(a * elems) % p] = 1
+            vectors.append(v)
+        r = half_product_reference(vectors[:3], p)
+        r_prime = half_product_reference(vectors[3:], p)
+        want = sum(int(r[y]) * int(r_prime[-y % p]) for y in range(p))
+        assert want > 2**53
+        assert count_solutions_fast(A, eq).total == want
+
+    def test_exact_fallback_matches_bruteforce(self, monkeypatch):
+        calls = []
+        exact = fourier._convolve_exact_int
+
+        def spy(a, b):
+            calls.append(len(a))
+            return exact(a, b)
+
+        monkeypatch.setattr(fourier, "ROUNDING_RESIDUAL_LIMIT", 0.0)
+        monkeypatch.setattr(fourier, "_convolve_exact_int", spy)
+        rng = np.random.default_rng(41)
+        A = ResidueSet(PrimeCyclicGroup(31), tuple(int(v) for v in rng.choice(31, size=9, replace=False)))
+        for coeffs in [(1, 1, -2), (1, 2, -1, -2), (2, 1, 1, -1, -3)]:
+            eq = InvariantEquation(coeffs)
+            assert count_solutions_fast(A, eq) == count_solutions_bruteforce(A, eq)
+        assert calls and set(calls) == {31}
 
 
 @st.composite

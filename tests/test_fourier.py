@@ -13,6 +13,7 @@ from invariant_eq_lab.cyclic import PrimeCyclicGroup, ResidueSet
 from invariant_eq_lab.fourier import (
     GroupFunction,
     convolve,
+    convolve_counts,
     dft,
     expectation,
     inverse_dft,
@@ -126,6 +127,49 @@ class TestConvolve:
         lhs = dft(convolve(f, g)).values
         rhs = dft(f).values * dft(g).values
         assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
+
+
+def cyclic_convolve_oracle(vectors, p):
+    """Schoolbook cyclic convolution in Python integers."""
+    out = [int(v) for v in vectors[0]]
+    for vec in vectors[1:]:
+        out = [sum(out[t] * int(vec[(x - t) % p]) for t in range(p)) for x in range(p)]
+    return out
+
+
+class TestConvolveCounts:
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(31)
+        for p in (5, 31, 101):
+            f = rng.integers(0, 2, size=p)
+            g = rng.integers(0, 4, size=p)
+            for vectors in ([f], [f, g], [f, g, f], [g, g, g, f]):
+                got = convolve_counts(vectors)
+                assert got.dtype == np.int64
+                assert got.tolist() == cyclic_convolve_oracle(vectors, p)
+
+    def test_entries_beyond_float_range_are_exact(self):
+        # Entries reach about 2^57: the FFT is skipped for direct integer arithmetic.
+        p = 7
+        big = np.full(p, 2**18, dtype=np.int64)
+        vectors = [big, np.arange(p), big]
+        assert convolve_counts(vectors).tolist() == cyclic_convolve_oracle(vectors, p)
+
+    def test_rejects_entries_beyond_int64(self):
+        big = np.full(7, 2**18, dtype=np.int64)
+        with pytest.raises(ValueError, match="int64"):
+            convolve_counts([big, big, big, big])
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            convolve_counts([])
+        with pytest.raises(ValueError):
+            convolve_counts([np.ones(5), np.ones(7)])
+        with pytest.raises(ValueError):
+            convolve_counts([np.ones(5), -np.ones(5)])
+
+    def test_zero_vector(self):
+        assert convolve_counts([np.zeros(5), np.ones(5)]).tolist() == [0] * 5
 
 
 class TestNorms:
