@@ -110,7 +110,7 @@ def _convolve_exact_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """(f*g)(x) = sum_t f(t) g(x-t), integer-exact for integer inputs."""
+    """(f*g)(x) = sum_t f(t) g(x-t); integer inputs get the residual check and exact fallback."""
     if f.group != g.group:
         raise ValueError("operands live in different groups")
     raw = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(g.values)).real

@@ -148,12 +148,19 @@ class TestConvolveCounts:
                 assert got.dtype == np.int64
                 assert got.tolist() == cyclic_convolve_oracle(vectors, p)
 
-    def test_entries_beyond_float_range_are_exact(self):
-        # Entries reach about 2^57: the FFT is skipped for direct integer arithmetic.
+    def test_entries_beyond_float_range_are_exact(self, monkeypatch):
+        # The entry bound is 147 * 2^54, past 2^53: the FFT is skipped for
+        # direct integer arithmetic.
+        import invariant_eq_lab.fourier as fourier
+
+        calls = []
+        exact = fourier._convolve_exact_int
+        monkeypatch.setattr(fourier, "_convolve_exact_int", lambda a, b: calls.append(1) or exact(a, b))
         p = 7
         big = np.full(p, 2**18, dtype=np.int64)
-        vectors = [big, np.arange(p), big]
+        vectors = [big, np.arange(p) * 2**18, big]
         assert convolve_counts(vectors).tolist() == cyclic_convolve_oracle(vectors, p)
+        assert len(calls) == 2
 
     def test_rejects_entries_beyond_int64(self):
         big = np.full(7, 2**18, dtype=np.int64)
