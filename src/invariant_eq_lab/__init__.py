@@ -57,7 +57,7 @@ from .fourier import (
     GroupFunction,
     Spectrum,
     convolve,
-    convolve_counts,
+    convolve_int,
     dft,
     expectation,
     indicator,

@@ -127,11 +127,12 @@ def count_solutions_fast(A: ResidueSet, eq: InvariantEquation) -> SolutionCount:
     a_h x_h = y, and r' does the same for the second half.
 
     The dilated indicators are scattered straight from one int64 array of A.
-    Each half is one ``fourier.convolve_counts`` product, whose entries are at
-    most |A|^(ceil(k/2)-1); it is checked entry by entry and recomputed by
-    direct integer convolution when the check fails.  The final sum is exact:
-    an int64 dot product when |A|^(k-1), which bounds the count and every
-    partial sum, is below 2^63, and Python integers otherwise.
+    Each half is one ``fourier.convolve_int`` product, whose entries are at
+    most |A|^(ceil(k/2)-1), with that kernel's checks and exact fallback.
+    The final sum is exact: an int64 dot product when |A|^(k-1), which bounds
+    the count and every partial sum, is below 2^63, and Python integers
+    otherwise.  Raises ValueError when |A|^(ceil(k/2)-1) reaches 2^63, where
+    a half may not fit in int64 (for instance k = 12 with |A| >= 6209).
     """
     n = len(A)
     if n == 0:
@@ -145,8 +146,8 @@ def count_solutions_fast(A: ResidueSet, eq: InvariantEquation) -> SolutionCount:
         dilates[u][u * elems % p] = 1
     vectors = [dilates[a % p] for a in eq.coeffs]
     half = (eq.arity + 1) // 2
-    r = fourier.convolve_counts(vectors[:half])
-    r_prime = fourier.convolve_counts(vectors[half:])
+    r = fourier.convolve_int(vectors[:half])
+    r_prime = fourier.convolve_int(vectors[half:])
     r_prime_neg = np.concatenate((r_prime[:1], r_prime[:0:-1]))
     if n ** (eq.arity - 1) < fourier.INT64_LIMIT:
         total = int(np.dot(r, r_prime_neg))

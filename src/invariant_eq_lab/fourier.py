@@ -8,21 +8,25 @@ Conventions, fixed once for the whole package:
     convolution      (f*g)(x)   = sum_t f(t) * g(x - t)
     L_q norm         ||f||_q    = (sum_x |f(x)|^q)^(1/q),  ||f||_inf = max |f|
 
-Convolutions of integer-valued functions are checked: the FFT result is
-accepted when every entry lies within ROUNDING_RESIDUAL_LIMIT of an integer,
-and is otherwise recomputed by direct O(p^2) integer arithmetic.  ``convolve``
-takes one prime-length FFT per operand.  ``convolve_counts`` multiplies any
-number of non-negative integer vectors at once: one zero-padded power-of-two
-``rfft`` per distinct vector, one ``irfft``, and a fold mod p of the rounded
-linear convolution in int64.  It applies the residual check to every linear
-entry and skips the FFT whenever an a-priori bound on the entries reaches
-2^53, where float64 stops holding every integer.  The residual check catches
-gross precision loss; it is not a certified error bound.
+Convolutions of integer-valued functions go through ``convolve_int``, which
+multiplies any number m of integer vectors at once.  Small inputs, where the
+(m - 1) p^2 multiply-adds of direct integer convolution cost less than FFT
+calls, are convolved directly.  Larger ones take one zero-padded ``rfft`` per
+distinct vector at a 5-smooth length n (n = 2^a 3^b 5^c, where numpy's FFTs
+are fastest), one ``irfft``, and a fold mod p of the rounded linear
+convolution in int64.  The FFT runs only while bound * log2(n) * 2^-53, a
+rough estimate of its worst absolute error from an a-priori bound on the
+entries, stays below FFT_ERROR_MARGIN; its output is then accepted when every
+entry lies within ROUNDING_RESIDUAL_LIMIT of an integer.  Otherwise the
+product is recomputed by direct O(p^2) integer arithmetic.  Neither test is a
+certified error bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,8 +37,12 @@ from .cyclic import PrimeCyclicGroup, ResidueSet
 #: Largest per-entry distance from an integer tolerated on the FFT fast path.
 ROUNDING_RESIDUAL_LIMIT = 0.1
 
-#: Every integer of magnitude below this is exact in float64.
-FLOAT_EXACT_LIMIT = 2**53
+#: Largest estimated FFT error, bound * log2(n) * 2^-53, for which the FFT runs.
+FFT_ERROR_MARGIN = 0.05
+
+#: Direct integer convolution of m length-p vectors takes (m - 1) p^2
+#: multiply-adds; up to this many it is faster than the FFT's call overhead.
+DIRECT_WORK_LIMIT = 2**16
 
 #: Entries must stay below this to be held exactly in int64.
 INT64_LIMIT = 2**63
@@ -110,32 +118,51 @@ def _convolve_exact_int(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """(f*g)(x) = sum_t f(t) g(x-t); integer inputs get the residual check and exact fallback."""
+    """(f*g)(x) = sum_t f(t) g(x-t); integer-valued operands go through ``convolve_int``."""
     if f.group != g.group:
         raise ValueError("operands live in different groups")
-    raw = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(g.values)).real
     if f.is_integer_valued() and g.is_integer_valued():
-        rounded = np.rint(raw)
-        if np.max(np.abs(raw - rounded)) >= ROUNDING_RESIDUAL_LIMIT:
-            # Precision failure on the fast path; recompute exactly.
-            exact = _convolve_exact_int(np.rint(f.values), np.rint(g.values))
-            return GroupFunction(f.group, exact.astype(np.float64))
-        return GroupFunction(f.group, rounded)
-    return GroupFunction(f.group, raw)
+        return GroupFunction(f.group, convolve_int([_as_int64(f), _as_int64(g)]).astype(np.float64))
+    return GroupFunction(f.group, np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(g.values)).real)
 
 
-def convolve_counts(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Cyclic convolution v_1 * ... * v_m of non-negative integer vectors of
-    one length p, returned as an int64 array.
+def _as_int64(f: GroupFunction) -> np.ndarray:
+    if np.max(np.abs(f.values)) >= INT64_LIMIT:
+        raise ValueError("integer values beyond int64")
+    return f.values.astype(np.int64)
 
-    The linear convolution, of length m(p-1)+1, comes from one product of
-    zero-padded power-of-two ``rfft`` spectra (a vector passed more than once
-    is transformed once) and one ``irfft``; it is rounded, checked entry by
-    entry against ROUNDING_RESIDUAL_LIMIT, and folded mod p in int64.  Every
-    entry is at most B = min_j max(v_j) * prod_{i != j} sum(v_i).  When B
-    reaches FLOAT_EXACT_LIMIT, or the residual check fails, the product is
-    recomputed by direct integer convolution instead.  Raises ValueError when
-    B reaches INT64_LIMIT, since the result may not fit in int64.
+
+@functools.lru_cache(maxsize=1024)
+def _fft_length(length: int) -> int:
+    """Smallest n >= length of the form 2^a 3^b 5^c."""
+    best = 1 << (length - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            n = odd
+            while n < length:
+                n *= 2
+            best = min(best, n)
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def convolve_int(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Cyclic convolution v_1 * ... * v_m of integer vectors of one length p,
+    returned as an int64 array.
+
+    Every entry is at most B = min_j max|v_j| * prod_{i != j} sum|v_i| in
+    magnitude.  When (m - 1) p^2 exceeds DIRECT_WORK_LIMIT and
+    B * log2(n) * 2^-53 < FFT_ERROR_MARGIN, the linear convolution, of length
+    m(p-1)+1, comes from one product of ``rfft`` spectra zero-padded to the
+    5-smooth length n (a vector passed more than once is transformed once)
+    and one ``irfft``; it is rounded, checked entry by entry against
+    ROUNDING_RESIDUAL_LIMIT, and folded mod p in int64.  Otherwise, or when
+    the residual check fails, the product comes from direct integer
+    convolution.  Raises ValueError when B reaches INT64_LIMIT, since the
+    result may not fit in int64.
     """
     if not vectors:
         raise ValueError("need at least one vector")
@@ -143,33 +170,39 @@ def convolve_counts(vectors: Sequence[np.ndarray]) -> np.ndarray:
     p = len(vs[0])
     if any(v.shape != (p,) for v in vs):
         raise ValueError("vectors must share one length")
-    if any(np.any(v < 0) for v in vs):
-        raise ValueError("vectors must be non-negative")
     if len(vs) == 1:
         return vs[0].copy()
-    sums = [int(v.sum()) for v in vs]
+    absolute = [np.abs(v) for v in vs]
+    sums = [int(a.sum()) for a in absolute]
     total = math.prod(sums)
     if total == 0:
         return np.zeros(p, dtype=np.int64)
-    bound = min(int(v.max()) * total // s for v, s in zip(vs, sums))
+    bound = min(int(a.max()) * total // s for a, s in zip(absolute, sums))
     if bound >= INT64_LIMIT:
         raise ValueError(f"convolution entries may reach {bound}, beyond int64")
-    if bound < FLOAT_EXACT_LIMIT:
+    if (len(vs) - 1) * p * p > DIRECT_WORK_LIMIT:
         length = len(vs) * (p - 1) + 1
-        n = 1 << (length - 1).bit_length()
-        spectra: dict[int, np.ndarray] = {}
-        product = None
-        for v in vs:
-            if id(v) not in spectra:
-                spectra[id(v)] = np.fft.rfft(v, n)
-            product = spectra[id(v)] if product is None else product * spectra[id(v)]
-        raw = np.fft.irfft(product, n)[:length]
-        rounded = np.rint(raw)
-        if np.max(np.abs(raw - rounded)) < ROUNDING_RESIDUAL_LIMIT:
-            folded = np.zeros(len(vs) * p, dtype=np.int64)
-            folded[:length] = rounded
-            return folded.reshape(len(vs), p).sum(axis=0)
-    # Precision failure, or entries beyond float64's exact range: recompute exactly.
+        n = _fft_length(length)
+        if bound * math.log2(n) * 2.0**-53 < FFT_ERROR_MARGIN:
+            # Keep only the spectra of vectors passed more than once.
+            repeats = Counter(map(id, vs))
+            spectra: dict[int, np.ndarray] = {}
+            product = None
+            for v in vs:
+                spec = spectra.get(id(v))
+                if spec is None:
+                    spec = np.fft.rfft(v, n)
+                    if repeats[id(v)] > 1:
+                        spectra[id(v)] = spec
+                product = spec if product is None else product * spec
+            raw = np.fft.irfft(product, n)[:length]
+            rounded = np.rint(raw)
+            if np.max(np.abs(raw - rounded)) < ROUNDING_RESIDUAL_LIMIT:
+                folded = np.zeros(len(vs) * p, dtype=np.int64)
+                folded[:length] = rounded
+                return folded.reshape(len(vs), p).sum(axis=0)
+    # Small input, precision failure, or an error estimate past the margin:
+    # direct integer arithmetic.
     out = vs[0]
     for v in vs[1:]:
         out = _convolve_exact_int(out, v)
@@ -177,9 +210,12 @@ def convolve_counts(vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def multi_convolve(f: GroupFunction, k: int) -> GroupFunction:
-    """k-fold convolution f * f * ... * f (f appears k times)."""
+    """k-fold convolution f * f * ... * f (f appears k times); one ``convolve_int``
+    product when f is integer-valued."""
     if k < 1:
         raise ValueError("fold count must be positive")
+    if f.is_integer_valued():
+        return GroupFunction(f.group, convolve_int([_as_int64(f)] * k).astype(np.float64))
     out = f
     for _ in range(k - 1):
         out = convolve(out, f)

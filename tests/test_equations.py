@@ -145,6 +145,19 @@ class TestFastPathLargeCounts:
         eq = InvariantEquation((1, 2, 1, -1, 3, -2, 1, -5))
         assert count_solutions_fast(full_group(1009), eq).total == 1009**7
 
+    def test_full_group_halves_past_2_52(self):
+        # Each half multiplies five all-ones vectors; its linear entries
+        # reach 5.1e15, past 2^52, where the residual check cannot see FFT
+        # error, so the half must come from the exact fallback.
+        eq = InvariantEquation((1, 2, -3, 1, 1, -1, 2, -1, -1, -1))
+        assert count_solutions_fast(full_group(9601), eq).total == 9601**9
+
+    def test_halves_beyond_int64_fail_loudly(self):
+        # |A|^5 = 7001^5 > 2^63: a half of six vectors may not fit in int64.
+        eq = InvariantEquation((1,) * 11 + (-11,))
+        with pytest.raises(ValueError, match="int64"):
+            count_solutions_fast(full_group(7001), eq)
+
     def test_dense_arity_six_against_reference(self):
         p = 9239
         rng = np.random.default_rng(9239)
@@ -173,11 +186,12 @@ class TestFastPathLargeCounts:
         monkeypatch.setattr(fourier, "ROUNDING_RESIDUAL_LIMIT", 0.0)
         monkeypatch.setattr(fourier, "_convolve_exact_int", spy)
         rng = np.random.default_rng(41)
-        A = ResidueSet(PrimeCyclicGroup(31), tuple(int(v) for v in rng.choice(31, size=9, replace=False)))
+        # p = 263 is large enough for the FFT path, which the patch makes fail.
+        A = ResidueSet(PrimeCyclicGroup(263), tuple(int(v) for v in rng.choice(263, size=9, replace=False)))
         for coeffs in [(1, 1, -2), (1, 2, -1, -2), (2, 1, 1, -1, -3)]:
             eq = InvariantEquation(coeffs)
             assert count_solutions_fast(A, eq) == count_solutions_bruteforce(A, eq)
-        assert calls and set(calls) == {31}
+        assert calls and set(calls) == {263}
 
 
 @st.composite

@@ -13,7 +13,7 @@ from invariant_eq_lab.cyclic import PrimeCyclicGroup, ResidueSet
 from invariant_eq_lab.fourier import (
     GroupFunction,
     convolve,
-    convolve_counts,
+    convolve_int,
     dft,
     expectation,
     inverse_dft,
@@ -110,6 +110,25 @@ class TestConvolve:
         with pytest.raises(ValueError):
             multi_convolve(f, 0)
 
+    def test_multi_convolve_full_group_past_float_range(self):
+        # Every entry of the 6-fold convolution of 1 on Z/2003 is 2003^5 > 2^53;
+        # chained FFT convolutions returned 23 less at 0.
+        f = gf(2003, np.ones(2003))
+        assert multi_convolve(f, 6).values.tolist() == [float(2003**5)] * 2003
+
+    def test_real_valued_operands_use_the_fft(self):
+        rng = np.random.default_rng(15)
+        f = rng.random(31)
+        g = rng.integers(-3, 4, size=31).astype(float)
+        got = convolve(gf(31, f), gf(31, g)).values
+        assert np.allclose(got, convolve_oracle(f, g, 31), rtol=1e-12, atol=1e-12)
+        assert np.allclose(multi_convolve(gf(31, f), 2).values, convolve_oracle(f, f, 31))
+
+    def test_rejects_integer_values_beyond_int64(self):
+        f = gf(7, [2.0**63, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="int64"):
+            convolve(f, f)
+
     def test_exact_fallback_agrees_with_fast_path(self):
         from invariant_eq_lab.fourier import _convolve_exact_int
 
@@ -137,14 +156,20 @@ def cyclic_convolve_oracle(vectors, p):
     return out
 
 
-class TestConvolveCounts:
-    def test_matches_oracle(self):
+class TestConvolveInt:
+    @pytest.mark.parametrize("path", ["direct", "fft"])
+    def test_matches_oracle(self, path, monkeypatch):
+        import invariant_eq_lab.fourier as fourier
+
+        if path == "fft":
+            monkeypatch.setattr(fourier, "DIRECT_WORK_LIMIT", 0)
+            monkeypatch.setattr(fourier, "_convolve_exact_int", None)
         rng = np.random.default_rng(31)
         for p in (5, 31, 101):
             f = rng.integers(0, 2, size=p)
-            g = rng.integers(0, 4, size=p)
+            g = rng.integers(-3, 4, size=p)
             for vectors in ([f], [f, g], [f, g, f], [g, g, g, f]):
-                got = convolve_counts(vectors)
+                got = convolve_int(vectors)
                 assert got.dtype == np.int64
                 assert got.tolist() == cyclic_convolve_oracle(vectors, p)
 
@@ -159,24 +184,50 @@ class TestConvolveCounts:
         p = 7
         big = np.full(p, 2**18, dtype=np.int64)
         vectors = [big, np.arange(p) * 2**18, big]
-        assert convolve_counts(vectors).tolist() == cyclic_convolve_oracle(vectors, p)
+        assert convolve_int(vectors).tolist() == cyclic_convolve_oracle(vectors, p)
         assert len(calls) == 2
+
+    def test_skips_fft_past_error_margin(self, monkeypatch):
+        # Five all-ones vectors at p = 9601: linear entries reach 5.1e15, past
+        # 2^52, where every float64 is an integer and the residual check is
+        # blind; the error estimate keeps the FFT out.
+        import invariant_eq_lab.fourier as fourier
+
+        calls = []
+        exact = fourier._convolve_exact_int
+        monkeypatch.setattr(fourier, "_convolve_exact_int", lambda a, b: calls.append(1) or exact(a, b))
+        p = 9601
+        ones = np.ones(p, dtype=np.int64)
+        assert convolve_int([ones] * 5).tolist() == [p**4] * p
+        assert len(calls) == 4
 
     def test_rejects_entries_beyond_int64(self):
         big = np.full(7, 2**18, dtype=np.int64)
         with pytest.raises(ValueError, match="int64"):
-            convolve_counts([big, big, big, big])
+            convolve_int([big, big, big, -big])
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            convolve_counts([])
+            convolve_int([])
         with pytest.raises(ValueError):
-            convolve_counts([np.ones(5), np.ones(7)])
-        with pytest.raises(ValueError):
-            convolve_counts([np.ones(5), -np.ones(5)])
+            convolve_int([np.ones(5), np.ones(7)])
 
     def test_zero_vector(self):
-        assert convolve_counts([np.zeros(5), np.ones(5)]).tolist() == [0] * 5
+        assert convolve_int([np.zeros(5), np.ones(5)]).tolist() == [0] * 5
+
+    def test_fft_length_is_smallest_5_smooth(self):
+        from invariant_eq_lab.fourier import _fft_length
+
+        def smooth(n):
+            for q in (2, 3, 5):
+                while n % q == 0:
+                    n //= q
+            return n == 1
+
+        for length in (1, 2, 7, 73, 2001, 20013, 200005):
+            n = _fft_length(length)
+            assert n >= length and smooth(n)
+            assert not any(smooth(m) for m in range(length, n))
 
 
 class TestNorms:
