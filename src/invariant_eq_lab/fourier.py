@@ -196,11 +196,16 @@ def convolve_int(vectors: Sequence[np.ndarray]) -> np.ndarray:
                         spectra[id(v)] = spec
                 product = spec if product is None else product * spec
             raw = np.fft.irfft(product, n)[:length]
+            del product, spectra
             rounded = np.rint(raw)
-            if np.max(np.abs(raw - rounded)) < ROUNDING_RESIDUAL_LIMIT:
-                folded = np.zeros(len(vs) * p, dtype=np.int64)
-                folded[:length] = rounded
-                return folded.reshape(len(vs), p).sum(axis=0)
+            # In place: at large p each length-n temporary is tens of megabytes.
+            residual = np.abs(np.subtract(raw, rounded, out=raw), out=raw)
+            if np.max(residual) < ROUNDING_RESIDUAL_LIMIT:
+                folded = rounded[:p].astype(np.int64)
+                for start in range(p, length, p):
+                    chunk = rounded[start : start + p]
+                    folded[: len(chunk)] += chunk.astype(np.int64)
+                return folded
     # Small input, precision failure, or an error estimate past the margin:
     # direct integer arithmetic.
     out = vs[0]
