@@ -29,7 +29,7 @@ print(BAR)
 print(f"Extremal set embedded into Z/{group.p}; alpha_0 = {A.density():.5f}")
 print(BAR)
 
-config = DriverConfig(seed=11, max_dim=1, max_steps=16)
+config = DriverConfig(max_dim=1, max_steps=16)
 trace = increment_driver(A, eq, config)
 
 factor = 1 + 1 / (16 * eq.arity)

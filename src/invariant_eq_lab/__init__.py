@@ -62,6 +62,7 @@ from .fourier import (
     expectation,
     indicator,
     inverse_dft,
+    linear_convolve_int,
     lp_norm,
     multi_convolve,
     normalized_indicator,

@@ -20,6 +20,7 @@ from itertools import product
 
 import numpy as np
 
+from . import fourier
 from .cyclic import IntervalSet
 from .errors import InvariantViolation
 
@@ -128,25 +129,9 @@ def build_behrend(params: BehrendParams) -> BehrendOutput:
     return out
 
 
-def _linear_convolution_exact(vec: np.ndarray, folds: int) -> np.ndarray:
-    """folds-fold linear self-convolution of a nonnegative integer vector,
-    FFT fast path validated entry by entry with an exact fallback."""
-    out_len = folds * (len(vec) - 1) + 1
-    size = 1 << (out_len - 1).bit_length()
-    spec = np.fft.rfft(vec, size)
-    raw = np.fft.irfft(spec**folds, size)[:out_len]
-    rounded = np.rint(raw)
-    if np.max(np.abs(raw - rounded)) < 0.1:
-        return rounded.astype(np.int64)
-    acc = vec.astype(object)
-    for _ in range(folds - 1):
-        acc = np.convolve(acc, vec.astype(object))
-    return acc
-
-
 def _count_by_convolution(out: BehrendOutput) -> tuple[int, int]:
     """(total, diagonal) solution counts of x_1 + ... + x_{k-1} = (k-1) x_k,
-    both by exact integer convolution.
+    both by exact integer convolution, summed as Python ints.
 
     The diagonal side counts the tuples whose members all share one digit
     vector; classes factor as fixed constrained digits plus a free part, so
@@ -155,16 +140,13 @@ def _count_by_convolution(out: BehrendOutput) -> tuple[int, int]:
     k = out.params.k
     vec = np.zeros(out.N, dtype=np.int64)
     vec[list(out.members)] = 1
-    conv = _linear_convolution_exact(vec, k - 1)
-    targets = [(k - 1) * a for a in out.members]
-    total = int(sum(conv[t] for t in targets))
+    conv = fourier.linear_convolve_int([vec] * (k - 1))
+    total = sum(conv[(k - 1) * np.asarray(out.members)].tolist())
 
     free = out.params.M ** out.params.dprime
     classes = len(out.members) // free
-    ones = np.ones(free, dtype=np.int64)
-    conv_free = _linear_convolution_exact(ones, k - 1)
-    per_class = int(sum(conv_free[(k - 1) * f] for f in range(free)))
-    return total, classes * per_class
+    conv_free = fourier.linear_convolve_int([np.ones(free, dtype=np.int64)] * (k - 1))
+    return total, classes * sum(conv_free[:: k - 1].tolist())
 
 
 def _count_by_enumeration(out: BehrendOutput) -> tuple[int, bool]:
@@ -202,6 +184,8 @@ def verify_behrend(out: BehrendOutput, params: BehrendParams) -> BehrendVerifica
     Small instances enumerate tuples directly; larger ones compare the exact
     convolution count of all solutions against the exact count of diagonal
     solutions, which agree precisely when no off-diagonal solution exists.
+    Those convolutions are int64 (``fourier.linear_convolve_int``), so they
+    raise ValueError once their entry bound |A|^(k-2) reaches 2^63.
     """
     k = params.k
     bound = len(out.members) * params.M ** (params.dprime * (k - 2))

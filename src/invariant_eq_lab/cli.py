@@ -10,6 +10,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -94,7 +95,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", metavar="FILE", default=None)
-    sp.add_argument("--both", action="store_true", help="also run the oracle and report agreement")
 
 
 def _add_set_source(sp: argparse.ArgumentParser) -> None:
@@ -323,7 +323,6 @@ def cmd_increment(args) -> dict:
         group = PrimeCyclicGroup(args.p)
         A = ResidueSet(group, _resolve_elements(args, group.p, 0))
     config = periodicity.DriverConfig(
-        seed=args.seed,
         max_dim=args.max_dim,
         min_size=args.min_size,
         max_steps=args.max_steps,
@@ -366,6 +365,7 @@ def cmd_sidon(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invariant-eq-lab",
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=None, help="integer interval length")
     sp.add_argument("--eq", required=True, help="comma-separated coefficients summing to 0")
     sp.add_argument("--method", choices=("fast", "bruteforce"), default="fast")
-    sp.set_defaults(handler=cmd_count)
+    sp.add_argument("--both", action="store_true", help="also run the oracle and report agreement")
 
     sp = sub.add_parser("behrend", help="build and verify the extremal construction")
     _add_common(sp)
@@ -391,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=None, help="derive parameters from a density")
     sp.add_argument("--shape-c", type=float, default=behrend_mod.DEFAULT_SHAPE_CONSTANT)
     sp.add_argument("--set-out", metavar="FILE", default=None, help="write the 1-based set")
-    sp.set_defaults(handler=cmd_behrend)
 
     sp = sub.add_parser("bohr", help="Bohr set enumeration and diagnostics")
     _add_common(sp)
@@ -402,14 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--regular-check", action="store_true")
     sp.add_argument("--find-regular-dilate", action="store_true")
     sp.add_argument("--size-bound", type=float, default=None, metavar="DELTA")
-    sp.set_defaults(handler=cmd_bohr)
 
     sp = sub.add_parser("spectrum", help="large spectrum of an indicator")
     _add_common(sp)
     _add_set_source(sp)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--delta", type=float, required=True)
-    sp.set_defaults(handler=cmd_spectrum)
 
     sp = sub.add_parser("periods", help="almost-periods of 1_A * 1_L")
     _add_common(sp)
@@ -418,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--L", required=True, help="comma-separated residues")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--norm", default="inf", help="norm exponent >= 1, or inf")
-    sp.set_defaults(handler=cmd_periods)
 
     sp = sub.add_parser("increment", help="run the density-increment driver")
     _add_common(sp)
@@ -429,13 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--min-size", type=int, default=8)
     sp.add_argument("--max-steps", type=int, default=64)
     sp.add_argument("--width-grid", type=int, default=16)
-    sp.set_defaults(handler=cmd_increment)
 
     sp = sub.add_parser("sidon", help="check the Sidon property")
     _add_common(sp)
     _add_set_source(sp)
     sp.add_argument("--p", type=int, default=None, help="check mod p instead of over Z")
-    sp.set_defaults(handler=cmd_sidon)
 
     return parser
 
@@ -447,7 +441,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = args.handler(args)
+        # Looked up by name on each call, so a handler replaced on the module
+        # takes effect although the parser is built once per process.
+        report = globals()[f"cmd_{args.command}"](args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3

@@ -8,18 +8,18 @@ Conventions, fixed once for the whole package:
     convolution      (f*g)(x)   = sum_t f(t) * g(x - t)
     L_q norm         ||f||_q    = (sum_x |f(x)|^q)^(1/q),  ||f||_inf = max |f|
 
-Convolutions of integer-valued functions go through ``convolve_int``, which
-multiplies any number m of integer vectors at once.  Small inputs, where the
-(m - 1) p^2 multiply-adds of direct integer convolution cost less than FFT
-calls, are convolved directly.  Larger ones take one zero-padded ``rfft`` per
-distinct vector at a 5-smooth length n (n = 2^a 3^b 5^c, where numpy's FFTs
-are fastest), one ``irfft``, and a fold mod p of the rounded linear
-convolution in int64.  The FFT runs only while bound * log2(n) * 2^-53, a
-rough estimate of its worst absolute error from an a-priori bound on the
-entries, stays below FFT_ERROR_MARGIN; its output is then accepted when every
-entry lies within ROUNDING_RESIDUAL_LIMIT of an integer.  Otherwise the
-product is recomputed by direct O(p^2) integer arithmetic.  Neither test is a
-certified error bound.
+Integer convolutions have one kernel, which multiplies any number m of
+integer vectors at once: ``convolve_int`` folds the product mod p and
+``linear_convolve_int`` returns the linear convolution.  Small inputs, where
+the (m - 1) p^2 multiply-adds of direct integer convolution cost less than
+FFT calls, are convolved directly.  Larger ones take one zero-padded ``rfft``
+per distinct vector at a 5-smooth length n (n = 2^a 3^b 5^c, where numpy's
+FFTs are fastest) and one ``irfft``, rounded to integers.  The FFT runs only
+while bound * log2(n) * 2^-53, a rough estimate of its worst absolute error
+from an a-priori bound on the entries, stays below FFT_ERROR_MARGIN; its
+output is then accepted when every entry lies within ROUNDING_RESIDUAL_LIMIT
+of an integer.  Otherwise the product is recomputed by direct integer
+arithmetic.  Neither test is a certified error bound.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -149,69 +149,86 @@ def _fft_length(length: int) -> int:
     return best
 
 
-def convolve_int(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Cyclic convolution v_1 * ... * v_m of integer vectors of one length p,
-    returned as an int64 array.
-
-    Every entry is at most B = min_j max|v_j| * prod_{i != j} sum|v_i| in
-    magnitude.  When (m - 1) p^2 exceeds DIRECT_WORK_LIMIT and
-    B * log2(n) * 2^-53 < FFT_ERROR_MARGIN, the linear convolution, of length
-    m(p-1)+1, comes from one product of ``rfft`` spectra zero-padded to the
-    5-smooth length n (a vector passed more than once is transformed once)
-    and one ``irfft``; it is rounded, checked entry by entry against
-    ROUNDING_RESIDUAL_LIMIT, and folded mod p in int64.  Otherwise, or when
-    the residual check fails, the product comes from direct integer
-    convolution.  Raises ValueError when B reaches INT64_LIMIT, since the
-    result may not fit in int64.
-    """
+def _int_operands(vectors: Sequence[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """The vectors in int64 and the bound B = min_j max|v_j| prod_{i != j} sum|v_i|
+    on every entry of their product, taking |v| once per distinct vector.
+    Raises ValueError when B reaches INT64_LIMIT."""
     if not vectors:
         raise ValueError("need at least one vector")
-    vs = [np.asarray(v, dtype=np.int64) for v in vectors]
-    p = len(vs[0])
-    if any(v.shape != (p,) for v in vs):
-        raise ValueError("vectors must share one length")
-    if len(vs) == 1:
-        return vs[0].copy()
-    absolute = [np.abs(v) for v in vs]
-    sums = [int(a.sum()) for a in absolute]
-    total = math.prod(sums)
-    if total == 0:
-        return np.zeros(p, dtype=np.int64)
-    bound = min(int(a.max()) * total // s for a, s in zip(absolute, sums))
+    distinct = {id(v): np.asarray(v, dtype=np.int64) for v in vectors}
+    if any(v.ndim != 1 or v.size == 0 for v in distinct.values()):
+        raise ValueError("vectors must be non-empty and one-dimensional")
+    stats = {}
+    for key, v in distinct.items():
+        absolute = np.abs(v)
+        stats[key] = (int(absolute.sum()), int(absolute.max()))
+    total = math.prod(stats[key][0] for key in map(id, vectors))
+    bound = min(peak * total // s for s, peak in stats.values()) if total else 0
     if bound >= INT64_LIMIT:
         raise ValueError(f"convolution entries may reach {bound}, beyond int64")
-    if (len(vs) - 1) * p * p > DIRECT_WORK_LIMIT:
-        length = len(vs) * (p - 1) + 1
-        n = _fft_length(length)
-        if bound * math.log2(n) * 2.0**-53 < FFT_ERROR_MARGIN:
-            # Keep only the spectra of vectors passed more than once.
-            repeats = Counter(map(id, vs))
-            spectra: dict[int, np.ndarray] = {}
-            product = None
-            for v in vs:
-                spec = spectra.get(id(v))
-                if spec is None:
-                    spec = np.fft.rfft(v, n)
-                    if repeats[id(v)] > 1:
-                        spectra[id(v)] = spec
-                product = spec if product is None else product * spec
-            raw = np.fft.irfft(product, n)[:length]
-            del product, spectra
-            rounded = np.rint(raw)
-            # In place: at large p each length-n temporary is tens of megabytes.
-            residual = np.abs(np.subtract(raw, rounded, out=raw), out=raw)
-            if np.max(residual) < ROUNDING_RESIDUAL_LIMIT:
-                folded = rounded[:p].astype(np.int64)
-                for start in range(p, length, p):
-                    chunk = rounded[start : start + p]
-                    folded[: len(chunk)] += chunk.astype(np.int64)
-                return folded
-    # Small input, precision failure, or an error estimate past the margin:
-    # direct integer arithmetic.
-    out = vs[0]
-    for v in vs[1:]:
-        out = _convolve_exact_int(out, v)
-    return out
+    return [distinct[id(v)] for v in vectors], bound
+
+
+def _fft_linear(vs: list[np.ndarray], bound: int) -> Optional[np.ndarray]:
+    """The linear convolution of vs as rounded float64, or None where direct
+    integer convolution applies: small inputs, an error estimate past the
+    margin, or a failed residual check.  A vector passed more than once is
+    transformed once."""
+    length = sum(map(len, vs)) - len(vs) + 1
+    if bound == 0:
+        return np.zeros(length)
+    if (len(vs) - 1) * max(map(len, vs)) ** 2 <= DIRECT_WORK_LIMIT:
+        return None
+    n = _fft_length(length)
+    if bound * math.log2(n) * 2.0**-53 >= FFT_ERROR_MARGIN:
+        return None
+    # Keep only the spectra of vectors passed more than once.
+    repeats = Counter(map(id, vs))
+    spectra: dict[int, np.ndarray] = {}
+    product = None
+    for v in vs:
+        spec = spectra.get(id(v))
+        if spec is None:
+            spec = np.fft.rfft(v, n)
+            if repeats[id(v)] > 1:
+                spectra[id(v)] = spec
+        product = spec if product is None else product * spec
+    raw = np.fft.irfft(product, n)[:length]
+    del product, spectra
+    rounded = np.rint(raw)
+    # In place: at large p each length-n temporary is tens of megabytes.
+    residual = np.abs(np.subtract(raw, rounded, out=raw), out=raw)
+    return rounded if np.max(residual) < ROUNDING_RESIDUAL_LIMIT else None
+
+
+def convolve_int(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Cyclic convolution v_1 * ... * v_m of integer vectors of one length p,
+    as an int64 array: the linear convolution folded mod p.  Raises
+    ValueError when its entries may reach INT64_LIMIT."""
+    vs, bound = _int_operands(vectors)
+    p = len(vs[0])
+    if any(len(v) != p for v in vs):
+        raise ValueError("vectors must share one length")
+    linear = _fft_linear(vs, bound)
+    if linear is None:
+        return functools.reduce(_convolve_exact_int, vs[1:], vs[0].copy())
+    folded = linear[:p].astype(np.int64)
+    for start in range(p, len(linear), p):
+        chunk = linear[start : start + p]
+        folded[: len(chunk)] += chunk.astype(np.int64)
+    return folded
+
+
+def linear_convolve_int(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Linear convolution v_1 * ... * v_m of integer vectors, of length
+    sum(len(v_i)) - m + 1, as an int64 array; the direct path chains int64
+    ``np.convolve``.  Raises ValueError when its entries may reach
+    INT64_LIMIT."""
+    vs, bound = _int_operands(vectors)
+    linear = _fft_linear(vs, bound)
+    if linear is None:
+        return functools.reduce(np.convolve, vs[1:], vs[0].copy())
+    return linear.astype(np.int64)
 
 
 def multi_convolve(f: GroupFunction, k: int) -> GroupFunction:

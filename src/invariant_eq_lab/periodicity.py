@@ -88,7 +88,6 @@ class DriverConfig:
     {0}; width_grid bounds how many critical-lattice widths are tried per
     frequency set."""
 
-    seed: int = 0
     max_dim: int = 1
     min_size: int = 8
     max_steps: int = 64
@@ -125,7 +124,6 @@ class IncrementTrace:
             ],
             "terminal_reason": self.terminal_reason.value,
             "config": {
-                "seed": self.config.seed,
                 "max_dim": self.config.max_dim,
                 "min_size": self.config.min_size,
                 "max_steps": self.config.max_steps,

@@ -289,7 +289,7 @@ def test_criterion_10_increment_driver_on_behrend_set():
     eq = InvariantEquation((1, 1, 1, -3))
     group, A = embed_interval(out.interval_set, eq)
     assert group.p == 751
-    config = DriverConfig(seed=11, max_dim=1, max_steps=16)
+    config = DriverConfig(max_dim=1, max_steps=16)
     trace = increment_driver(A, eq, config)
     factor = 1 + 1 / (16 * eq.arity)
     for prev, step in zip(trace.steps, trace.steps[1:]):

@@ -2,6 +2,8 @@
 parameter selection."""
 
 import itertools
+import math
+import time
 
 import pytest
 
@@ -103,6 +105,15 @@ class TestBuild:
             assert len(out.members) * params.d * params.M**2 >= out.T_size
 
 
+def compositions(m, n, s):
+    """Ordered m-tuples of integers in [0, n) summing to s, by inclusion-exclusion."""
+    return sum(
+        (-1) ** j * math.comb(m, j) * math.comb(s - j * n + m - 1, m - 1)
+        for j in range(m + 1)
+        if s >= j * n
+    )
+
+
 def brute_force_solutions(members, k):
     """All tuples with x_1 + ... + x_{k-1} = (k-1) x_k, by literal loops."""
     member_set = set(members)
@@ -155,6 +166,27 @@ class TestVerify:
         v = verify_behrend(out, params)
         assert v.diagonal_ok
         assert v.count <= v.bound
+
+    def test_count_past_int64_is_exact(self):
+        # |A| = 729 = 9^3 and every member has constrained digit 1, so the
+        # solutions are the 7-tuples of free parts f_i in [0, 729) with
+        # sum = 7 f, counted by inclusion-exclusion.  The total passes 2^63.
+        params = BehrendParams(9, 1, 3, 8)
+        out = build_behrend(params)
+        assert len(out.members) == 729
+        start = time.perf_counter()
+        v = verify_behrend(out, params)
+        elapsed = time.perf_counter() - start
+        assert v.count == sum(compositions(7, 729, 7 * f) for f in range(729))
+        assert v.count >= 2**63
+        assert v.diagonal_ok
+        # The object-array fallback this path replaced took about 20 s here.
+        assert elapsed < 5
+
+    def test_entries_past_int64_are_rejected(self):
+        params = BehrendParams(13, 1, 2, 12)
+        with pytest.raises(ValueError, match="int64"):
+            verify_behrend(build_behrend(params), params)
 
 
 class TestChooseParams:

@@ -85,6 +85,19 @@ class TestBehrend:
         assert code == 2
         assert "sphere" in err
 
+    def test_count_past_int64_entries_exits_2(self, capsys):
+        # |A|^(k-2) is about 1.9e22: the convolution entries may pass 2^63.
+        code, _, err = run(capsys, "behrend", "--M", "13", "--d", "1", "--dprime", "2", "--k", "12")
+        assert code == 2
+        assert "int64" in err
+
+    def test_both_is_only_a_count_flag(self, capsys):
+        code, _, err = run(
+            capsys, "behrend", "--M", "5", "--d", "2", "--dprime", "1", "--k", "4", "--both"
+        )
+        assert code == 2
+        assert "--both" in err
+
     def test_alpha_mode(self, capsys):
         report = run_json(capsys, "behrend", "--alpha", "0.01", "--k", "4")
         assert report["measured_density"] >= 0.01

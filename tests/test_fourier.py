@@ -17,6 +17,7 @@ from invariant_eq_lab.fourier import (
     dft,
     expectation,
     inverse_dft,
+    linear_convolve_int,
     lp_norm,
     multi_convolve,
     normalized_indicator,
@@ -156,6 +157,27 @@ def cyclic_convolve_oracle(vectors, p):
     return out
 
 
+def compositions(m, n, s):
+    """Ordered m-tuples of integers in [0, n) summing to s, by inclusion-exclusion."""
+    return sum(
+        (-1) ** j * math.comb(m, j) * math.comb(s - j * n + m - 1, m - 1)
+        for j in range(m + 1)
+        if s >= j * n
+    )
+
+
+def linear_convolve_oracle(vectors):
+    """Schoolbook linear convolution in Python integers."""
+    out = [int(v) for v in vectors[0]]
+    for vec in vectors[1:]:
+        acc = [0] * (len(out) + len(vec) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(vec):
+                acc[i + j] += a * int(b)
+        out = acc
+    return out
+
+
 class TestConvolveInt:
     @pytest.mark.parametrize("path", ["direct", "fft"])
     def test_matches_oracle(self, path, monkeypatch):
@@ -172,6 +194,9 @@ class TestConvolveInt:
                 got = convolve_int(vectors)
                 assert got.dtype == np.int64
                 assert got.tolist() == cyclic_convolve_oracle(vectors, p)
+                linear = linear_convolve_int(vectors)
+                assert linear.dtype == np.int64
+                assert linear.tolist() == linear_convolve_oracle(vectors)
 
     def test_entries_beyond_float_range_are_exact(self, monkeypatch):
         # The entry bound is 147 * 2^54, past 2^53: the FFT is skipped for
@@ -200,6 +225,14 @@ class TestConvolveInt:
         ones = np.ones(p, dtype=np.int64)
         assert convolve_int([ones] * 5).tolist() == [p**4] * p
         assert len(calls) == 4
+
+    def test_linear_entries_past_2_52_are_exact(self):
+        # Six folds of ones(5000): entries reach about 1.7e18, past 2^52,
+        # where every float64 is an integer and the residual check is blind.
+        got = linear_convolve_int([np.ones(5000, dtype=np.int64)] * 6)
+        assert len(got) == 6 * 4999 + 1
+        for s in range(0, len(got), 997):
+            assert int(got[s]) == compositions(6, 5000, s)
 
     def test_rejects_entries_beyond_int64(self):
         big = np.full(7, 2**18, dtype=np.int64)

@@ -474,7 +474,7 @@ class TestIncrementDriver:
         rng = np.random.default_rng(11)
         A = ResidueSet(g, tuple(int(v) for v in rng.choice(101, size=20, replace=False)))
         eq = InvariantEquation((1, 1, -2))
-        config = DriverConfig(seed=3, max_dim=1, min_size=5, max_steps=8, width_grid=8)
+        config = DriverConfig(max_dim=1, min_size=5, max_steps=8, width_grid=8)
         trace = increment_driver(A, eq, config)
         again = increment_driver(A, eq, config)
         assert trace.to_dict() == again.to_dict()
@@ -499,7 +499,7 @@ class TestIncrementDriver:
         g = PrimeCyclicGroup(1511)
         A = ResidueSet(g, (1, 5, 26, 30, 51, 55, 76, 80, 101, 105))
         eq = InvariantEquation((1, 1, 1, -3))
-        config = DriverConfig(seed=2, max_dim=1, max_steps=16)
+        config = DriverConfig(max_dim=1, max_steps=16)
         trace = increment_driver(A, eq, config)
         factor = 1 + 1 / (16 * eq.arity)
         assert len(trace.steps) >= 2
