@@ -32,6 +32,8 @@ def _round_floats(obj):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, list) and all(type(v) is int for v in obj):
+        return obj  # nothing to round, and periods reports hold thousands
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
     return obj
@@ -284,7 +286,7 @@ def _parse_norm(text: str) -> float:
     if text in ("inf", "infinity"):
         return math.inf
     value = float(text)
-    if value < 1:
+    if not value >= 1:  # also rejects nan
         raise ValueError(f"norm exponent must be >= 1 or inf, got {text}")
     return value
 

@@ -5,6 +5,18 @@ The probabilistic existence arguments behind the almost-periodicity results
 are out of scope; their conclusions are implemented as checkable predicates
 and as exhaustive searches over configured candidate families, which is
 feasible at desk scale.
+
+Shift deviations ||g(. + t) - g||_q have one routine, ``_deviations``.  For
+integer-valued g with 2 sum|g| < 2^31 and q = 2 it reads every shift off one
+autocorrelation, ||g(. + t) - g||_2^2 = 2 ||g||_2^2 - 2 (g ⋆ g)(t), in exact
+integers from ``fourier.convolve_int``.  Otherwise it differences blocks of
+shifts against a zero-copy sliding window over [g, g], in int32 when g is
+such an integer function and in float64 when it is not.  The driver's
+searches are blocked the same way: the singleton search takes one prefix sum
+per frequency for all widths, and the general search counts every width's
+translates with one integer product against a zero-copy circulant view of
+1_A.  Blocks hold about BLOCK_ENTRIES entries, so no pass builds a p x p
+array.
 """
 
 from __future__ import annotations
@@ -15,18 +27,22 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bohr as bohr_mod
 from .bohr import BohrSet, dilate, enumerate_members, scale
 from .cyclic import ResidueSet, intersect, iterated_sumset, sumset, dilate_set, translate_set
 from .equations import InvariantEquation
 from .errors import InvariantViolation, LemmaHypothesisError
-from .fourier import GroupFunction, convolve, indicator, lp_norm
+from .fourier import GroupFunction, convolve, convolve_int, indicator, lp_norm
 
 #: Inclusive tolerance on threshold comparisons fed by exact integer counts.
 BOUNDARY_TOL = 1e-9
 #: Slack for float comparisons of analytically exact inequalities.
 FLOAT_SLACK = 1e-12
+#: Entries per scratch block of the blocked passes (shifts of a deviation
+#: profile, frequencies of the singleton search): at most about 1 MB.
+BLOCK_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -134,25 +150,65 @@ class IncrementTrace:
 
 def shift_deviation(f: GroupFunction, t: int, q: float) -> float:
     """||f(. + t) - f||_q."""
-    shifted = np.roll(f.values, -t)
-    return lp_norm(GroupFunction(f.group, shifted - f.values), q)
+    return float(_deviations(f.values, q, [t % f.group.p])[0])
+
+
+def _deviations(values: np.ndarray, q: float, shifts: Sequence[int]) -> np.ndarray:
+    """||v(. + t) - v||_q for each t in ``shifts`` (residues in [0, p)).
+
+    Integer-valued v with 2 sum|v| < 2^31 is evaluated in int32, where no
+    difference or L1 sum can overflow.  Each value is the root
+    np.float64(S) ** (1/q) of the sum S of |differences|^q, taken per entry as
+    a scalar, so it equals a direct evaluation wherever that evaluation's
+    float sum is exact (every sum below 2^53)."""
+    if not q >= 1:
+        raise ValueError(f"norm exponent must be >= 1, got {q}")
+    p = len(values)
+    shifts = np.asarray(shifts, dtype=np.intp)
+    small_ints = bool(np.all(values == np.rint(values))) and 2 * np.sum(np.abs(values)) < 2**31
+    v = values.astype(np.int32) if small_ints else values
+    # One autocorrelation serves every shift; a single shift is cheaper directly.
+    if q == 2 and small_ints and len(shifts) > 1:
+        corr = convolve_int([v, v[-np.arange(p) % p]])  # entries below 2^60
+        sums = 2 * (corr[0] - corr[shifts])
+    else:
+        sums = _blocked_sums(v, q, shifts)
+    if q in (1, math.inf):
+        return sums.astype(np.float64)
+    root = 1.0 / q
+    return np.array([np.float64(s) ** root for s in sums.tolist()], dtype=np.float64)
+
+
+def _blocked_sums(v: np.ndarray, q: float, shifts: np.ndarray) -> np.ndarray:
+    """sum_x |v(x + t) - v(x)|^q (max for q = inf) per shift, over blocks of
+    shifts read from a zero-copy sliding window over [v, v]."""
+    p = len(v)
+    window = sliding_window_view(np.concatenate([v, v]), p)  # window[t] = v(. + t)
+    sums = np.empty(len(shifts), dtype=v.dtype if q in (1, math.inf) else np.float64)
+    rows = max(1, BLOCK_ENTRIES // p)
+    for start in range(0, len(shifts), rows):
+        diff = window[shifts[start : start + rows]]
+        diff -= v
+        np.abs(diff, out=diff)
+        if q == math.inf:
+            sums[start : start + rows] = diff.max(axis=1)
+        elif q == 1:
+            sums[start : start + rows] = diff.sum(axis=1, dtype=v.dtype)
+        else:
+            sums[start : start + rows] = np.sum(diff ** float(q), axis=1)
+    return sums
 
 
 def _deviation_profile(values: np.ndarray, q: float) -> np.ndarray:
     """dev(t) for t = 0..p-1, symmetrized exactly (dev(t) = dev(p - t))."""
     p = len(values)
-    dev = np.zeros(p)
-    for t in range(1, p // 2 + 1):
-        diff = np.roll(values, -t) - values
-        if q == math.inf:
-            d = float(np.max(np.abs(diff)))
-        elif q == 1:
-            d = float(np.sum(np.abs(diff)))
-        else:
-            d = float(np.sum(np.abs(diff) ** q) ** (1.0 / q))
-        dev[t] = d
-        dev[p - t] = d
-    return dev
+    half = _deviations(values, q, np.arange(p // 2 + 1))
+    return np.concatenate([half, half[1 : (p + 1) // 2][::-1]])
+
+
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
 
 
 def almost_periods(A: ResidueSet, L: ResidueSet, eps: float, q: float) -> AlmostPeriodSet:
@@ -162,6 +218,7 @@ def almost_periods(A: ResidueSet, L: ResidueSet, eps: float, q: float) -> Almost
     """
     if len(A) == 0 or len(L) == 0:
         raise ValueError("almost-period search needs nonempty sets")
+    _check_eps(eps)
     conv = convolve(indicator(A), indicator(L))
     bound = eps * len(A) if q == math.inf else eps * len(A) * len(L) ** (1.0 / q)
     dev = _deviation_profile(conv.values, q)
@@ -178,6 +235,7 @@ def multi_almost_periods(
         raise ValueError("need at least one leading set")
     if any(len(s) == 0 for s in sets) or len(M) == 0 or len(L) == 0:
         raise ValueError("almost-period search needs nonempty sets")
+    _check_eps(eps)
     conv = indicator(sets[0])
     for s in sets[1:]:
         conv = convolve(conv, indicator(s))
@@ -224,12 +282,13 @@ def increment_from_periods(
     alpha = len(A) / p
     g = convolve(f, indicator(A))
     members = enumerate_members(B)
-    for t in members.elements:
-        dev = float(np.max(np.abs(np.roll(g.values, -int(t)) - g.values)))
-        if dev > eps + FLOAT_SLACK:
-            raise ValueError(
-                f"precondition failed: shift deviation over B (t={t} gives {dev:.6g} > eps={eps:.6g})"
-            )
+    devs = _deviations(g.values, math.inf, members.elements)
+    failing = np.nonzero(devs > eps + FLOAT_SLACK)[0]
+    if failing.size:
+        t, dev = members.elements[failing[0]], devs[failing[0]]
+        raise ValueError(
+            f"precondition failed: shift deviation over B (t={t} gives {dev:.6g} > eps={eps:.6g})"
+        )
     if len(A) == 0:
         raise ValueError("precondition failed: value at zero (A is empty)")
     l1 = lp_norm(f, 1)
@@ -419,33 +478,43 @@ def _search_singleton_increment(
 ) -> Optional[IncrementStep]:
     """Scan Bohr sets of dimension 1 (all frequencies, widths from the
     critical lattice) for a translate with density >= need_density.
-    Deterministic: first hit in (frequency, width, translate) order."""
+    Deterministic: first hit in (frequency, width, translate) order.
+
+    Frequencies are taken in blocks: one scatter builds their dilated
+    indicators, and one prefix sum per frequency, padded to the widest
+    window, gives the window sums of every width."""
     p = A.group.p
-    elements = np.asarray(A.elements)
-    js = _width_grid(p, config)
-    arange = np.arange(p)
-    for t in range(1, (p - 1) // 2 + 1):
-        pos = (t * elements) % p
-        arr = np.zeros(p, dtype=np.int64)
-        arr[pos] = 1
-        for j in js:
-            size_b = 2 * j + 1
-            if size_b < config.min_size:
-                continue
-            ext = np.concatenate([arr, arr[: 2 * j]])
-            csum = np.concatenate([[0], np.cumsum(ext)])
-            window = csum[2 * j + 1 :] - csum[: -(2 * j + 1)]
-            counts_y = window[(arange - j) % p]
-            need = need_density * size_b - BOUNDARY_TOL
-            qual = np.nonzero(counts_y >= need)[0]
-            if qual.size == 0:
-                continue
-            tinv = pow(t, -1, p)
-            xs = (qual * tinv) % p
-            x = int(xs.min())
-            candidate = BohrSet(A.group, (t,), _midpoint_width(p, j))
-            new_set = intersect(translate_set(A, -x), enumerate_members(candidate))
-            return IncrementStep(new_set, candidate, len(new_set) / size_b, "bohr-search")
+    elements = np.asarray(A.elements, dtype=np.int64)
+    js = [j for j in _width_grid(p, config) if 2 * j + 1 >= config.min_size]
+    if not js:
+        return None
+    needs = np.array([need_density * (2 * j + 1) - BOUNDARY_TOL for j in js])
+    span = p + 2 * js[-1]
+    freqs = np.arange(1, (p - 1) // 2 + 1)
+    rows = max(1, BLOCK_ENTRIES // span)
+    for start in range(0, len(freqs), rows):
+        ts = freqs[start : start + rows]
+        # csum[i, y] = |{a in A : t_i a mod p < y}|, continued cyclically past p.
+        csum = np.zeros((len(ts), span + 1), dtype=np.int32)
+        csum[np.arange(len(ts))[:, None], 1 + (ts[:, None] * elements) % p] = 1
+        csum[:, p + 1 :] = csum[:, 1 : span - p + 1]
+        np.cumsum(csum, axis=1, out=csum)
+        # peaks[i, k]: most dilates t_i a in any window of 2 j_k + 1 residues.
+        peaks = np.empty((len(ts), len(js)), dtype=np.int32)
+        for k, j in enumerate(js):
+            np.max(csum[:, 2 * j + 1 : 2 * j + 1 + p] - csum[:, :p], axis=1, out=peaks[:, k])
+        hits = np.argwhere(peaks >= needs)
+        if hits.size == 0:
+            continue
+        i, k = hits[0]
+        t, j = int(ts[i]), js[k]
+        # The window starting at y is the interval of radius j centred at y + j.
+        window = csum[i, 2 * j + 1 : 2 * j + 1 + p] - csum[i, :p]
+        centres = (np.nonzero(window >= needs[k])[0] + j) % p
+        x = int((centres * pow(t, -1, p) % p).min())
+        candidate = BohrSet(A.group, (t,), _midpoint_width(p, j))
+        new_set = intersect(translate_set(A, -x), enumerate_members(candidate))
+        return IncrementStep(new_set, candidate, len(new_set) / (2 * j + 1), "bohr-search")
     return None
 
 
@@ -453,34 +522,43 @@ def _search_general_increment(
     A: ResidueSet, need_density: float, config: DriverConfig
 ) -> Optional[IncrementStep]:
     """Exhaustive search over frequency sets of size 2..max_dim; viable only
-    for small moduli."""
+    for small moduli.  Per frequency set, one comparison against the radii
+    gives every width's member mask, and one integer product against a
+    zero-copy circulant view of 1_A gives every width's translate counts."""
     from itertools import combinations
 
     p = A.group.p
+    doubled = np.zeros(2 * p, dtype=np.int32)
+    doubled[np.asarray(A.elements, dtype=np.int64)] = 1
+    doubled[p:] = doubled[:p]
+    # circulant[s, x] = 1_A(x - s), so (mask @ circulant)[x] = (1_S * 1_A)(x).
+    circulant = sliding_window_view(doubled, p)[p:0:-1]
     for dim in range(2, config.max_dim + 1):
         for gamma in combinations(range(1, p), dim):
             radii = bohr_mod._radii(p, gamma)
-            uniq = np.unique(np.sort(radii))
+            uniq = np.unique(radii)
             n = max(1, min(config.width_grid, len(uniq) - 1))
             picks = np.unique(np.linspace(1, len(uniq) - 1, n).astype(int))
-            seen_sizes = set()
-            for idx in picks:
-                w = float((uniq[idx] + (uniq[idx + 1] if idx + 1 < len(uniq) else 2.0)) / 2)
-                candidate = BohrSet(A.group, gamma, min(w, 2.0))
-                members = enumerate_members(candidate)
-                if len(members) < config.min_size or len(members) in seen_sizes:
-                    continue
-                seen_sizes.add(len(members))
-                counts = _counts_on_translates(A, members)
-                need = need_density * len(members) - BOUNDARY_TOL
-                qual = np.nonzero(counts >= need)[0]
-                if qual.size == 0:
-                    continue
-                x = int(qual.min())
-                new_set = intersect(translate_set(A, -x), members)
-                return IncrementStep(
-                    new_set, candidate, len(new_set) / len(members), "bohr-search"
-                )
+            upper = np.append(uniq[1:], 2.0)
+            widths = np.minimum((uniq[picks] + upper[picks]) / 2, 2.0)
+            masks = radii <= (widths + bohr_mod.MEMBERSHIP_TOL)[:, None]
+            sizes = masks.sum(axis=1)
+            seen_sizes, keep = set(), []
+            for idx, size in enumerate(sizes.tolist()):
+                if size >= config.min_size and size not in seen_sizes:
+                    seen_sizes.add(size)
+                    keep.append(idx)
+            if not keep:
+                continue
+            counts = masks[keep].astype(np.int32) @ circulant
+            hits = np.argwhere(counts >= (need_density * sizes[keep] - BOUNDARY_TOL)[:, None])
+            if hits.size == 0:
+                continue
+            row, x = hits[0]
+            candidate = BohrSet(A.group, gamma, float(widths[keep[row]]))
+            members = enumerate_members(candidate)
+            new_set = intersect(translate_set(A, -int(x)), members)
+            return IncrementStep(new_set, candidate, len(new_set) / len(members), "bohr-search")
     return None
 
 

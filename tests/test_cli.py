@@ -3,7 +3,9 @@ determinism, file I/O, and exit codes."""
 
 import json
 
-from invariant_eq_lab.cli import main
+import pytest
+
+from invariant_eq_lab.cli import _render_json, main
 
 
 def run(capsys, *argv):
@@ -180,6 +182,28 @@ class TestPeriods:
             capsys, "periods", "--p", "7", "--A", "0,1", "--L", "0", "--eps", "0.5", "--norm", "0.5"
         )
         assert code == 2
+
+    # Each of these printed a report with exit 0: "norm": NaN (not JSON),
+    # "bound": NaN, or an empty period set, although 0 is always a period.
+    @pytest.mark.parametrize(
+        "flag, value", [("--norm", "nan"), ("--eps", "nan"), ("--eps", "-1"), ("--eps", "inf")]
+    )
+    def test_bad_inputs_exit_2(self, capsys, flag, value):
+        argv = {"--eps": "0.5", "--norm": "2"}
+        argv[flag] = value
+        code, out, err = run(
+            capsys, "periods", "--p", "7", "--A", "0,1", "--L", "0",
+            "--eps", argv["--eps"], "--norm", argv["--norm"],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+
+def test_render_json_keeps_int_lists_and_rounds_the_rest():
+    report = {"ints": [3, 0, 12], "mixed": [True, 1, 0.1 + 0.2], "pair": (1, 2.5), "empty": []}
+    assert json.loads(_render_json(report)) == {
+        "ints": [3, 0, 12], "mixed": [True, 1, 0.3], "pair": [1, 2.5], "empty": [],
+    }
 
 
 class TestSidon:

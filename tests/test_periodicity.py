@@ -2,10 +2,12 @@
 and the density-increment driver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from invariant_eq_lab import periodicity
 from invariant_eq_lab.bohr import BohrSet, dilate, enumerate_members, find_regular_dilate, size
 from invariant_eq_lab.cyclic import (
     PrimeCyclicGroup,
@@ -20,7 +22,9 @@ from invariant_eq_lab.equations import InvariantEquation
 from invariant_eq_lab.errors import LemmaHypothesisError
 from invariant_eq_lab.fourier import GroupFunction, convolve, indicator, normalized_indicator
 from invariant_eq_lab.periodicity import (
+    BOUNDARY_TOL,
     DriverConfig,
+    IncrementStep,
     IncrementWitness,
     TerminalReason,
     TranslateFamily,
@@ -35,6 +39,14 @@ from invariant_eq_lab.periodicity import (
     shift_deviation,
     verify_bohr_periods,
 )
+from invariant_eq_lab.periodicity import (
+    _counts_on_translates,
+    _deviation_profile,
+    _midpoint_width,
+    _search_general_increment,
+    _search_singleton_increment,
+    _width_grid,
+)
 
 
 def deviation_oracle(values, t, q):
@@ -44,6 +56,74 @@ def deviation_oracle(values, t, q):
     if q == math.inf:
         return max(diffs)
     return sum(d**q for d in diffs) ** (1 / q)
+
+
+def roll_profile(values, q):
+    """The deviation profile by one np.roll per shift: the reference for the
+    blocked and autocorrelation evaluations."""
+    p = len(values)
+    dev = np.zeros(p)
+    for t in range(1, p // 2 + 1):
+        diff = np.roll(values, -t) - values
+        if q == math.inf:
+            d = float(np.max(np.abs(diff)))
+        elif q == 1:
+            d = float(np.sum(np.abs(diff)))
+        else:
+            d = float(np.sum(np.abs(diff) ** q) ** (1.0 / q))
+        dev[t] = d
+        dev[p - t] = d
+    return dev
+
+
+def convolution_values(p, rng):
+    g = PrimeCyclicGroup(p)
+    A = ResidueSet(g, tuple(int(v) for v in rng.choice(p, size=max(1, p // 4), replace=False)))
+    start, length = int(rng.integers(p)), max(1, p // 10)
+    L = ResidueSet(g, tuple((start + i) % p for i in range(length)))
+    return convolve(indicator(A), indicator(L)).values
+
+
+class TestDeviationProfile:
+    # p // 2 is not a multiple of the rows per block: 2^17 // 1009 = 129 rows
+    # for 504 shifts, and 707 // 101 = 7 rows for 50 shifts.
+    @pytest.mark.parametrize("q", [1, 2, 3, math.inf])
+    @pytest.mark.parametrize("p, block", [(2, None), (3, None), (31, None), (101, 707), (1009, None)])
+    def test_integer_inputs_equal_roll_loop(self, monkeypatch, q, p, block):
+        if block is not None:
+            monkeypatch.setattr(periodicity, "BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(p)
+        signed = rng.integers(-50, 51, size=p).astype(float)
+        # Z/2 is no group here, but the profile of a length-2 array is defined.
+        for values in [signed] + ([convolution_values(p, rng)] if p > 2 else []):
+            assert np.array_equal(_deviation_profile(values, q), roll_profile(values, q))
+
+    @pytest.mark.parametrize("q", [1, 2, 3, math.inf])
+    def test_float_inputs_match_roll_loop(self, monkeypatch, q):
+        monkeypatch.setattr(periodicity, "BLOCK_ENTRIES", 707)
+        values = np.random.default_rng(8).normal(size=101)
+        assert _deviation_profile(values, q) == pytest.approx(roll_profile(values, q), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1, 2, math.inf])
+    def test_integers_past_int32_take_the_float_path(self, q):
+        # 2 sum|v| passes 2^31, and for q = 2 the autocorrelation entries
+        # (about 2^87) would be past int64: no ValueError, same profile.
+        values = np.random.default_rng(9).integers(0, 2**40, size=211).astype(float)
+        assert _deviation_profile(values, q) == pytest.approx(roll_profile(values, q), rel=1e-12)
+
+    def test_shift_deviation_is_one_shift_of_the_profile(self):
+        rng = np.random.default_rng(10)
+        f = GroupFunction(PrimeCyclicGroup(31), rng.integers(-9, 10, size=31).astype(float))
+        for q in (1, 2, 3, math.inf):
+            profile = roll_profile(f.values, q)
+            for t in (-40, -1, 0, 1, 15, 16, 30, 31, 77):
+                assert shift_deviation(f, t, q) == profile[t % 31]
+
+    def test_norm_exponent_below_one_rejected(self):
+        f = GroupFunction(PrimeCyclicGroup(7), np.arange(7, dtype=float))
+        for q in (0.5, math.nan):
+            with pytest.raises(ValueError, match="norm exponent"):
+                shift_deviation(f, 1, q)
 
 
 class TestShiftDeviation:
@@ -116,6 +196,17 @@ class TestAlmostPeriods:
         with pytest.raises(ValueError):
             almost_periods(ResidueSet(g, ()), ResidueSet(g, (0,)), 0.5, 1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+    def test_bad_eps_rejected(self, eps):
+        g = PrimeCyclicGroup(7)
+        with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+            almost_periods(ResidueSet(g, (0, 1)), ResidueSet(g, (0,)), eps, 1)
+
+    def test_nan_norm_rejected(self):
+        g = PrimeCyclicGroup(7)
+        with pytest.raises(ValueError, match="norm exponent"):
+            almost_periods(ResidueSet(g, (0, 1)), ResidueSet(g, (0,)), 0.5, math.nan)
+
 
 class TestMultiAlmostPeriods:
     def test_full_groups(self):
@@ -145,6 +236,14 @@ class TestMultiAlmostPeriods:
             t for t in range(31) if deviation_oracle(conv.values, t, math.inf) <= bound + 1e-9
         )
         assert multi_almost_periods([A1], M, L, eps).periods.elements == expected
+
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+    def test_bad_eps_rejected(self, eps):
+        g = PrimeCyclicGroup(7)
+        full = ResidueSet(g, tuple(range(7)))
+        with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+            multi_almost_periods([full], full, full, eps)
 
 
 class TestVerifyBohrPeriods:
@@ -231,6 +330,20 @@ class TestIncrementFromPeriods:
         B = BohrSet(g, (1,), 2.0)
         with pytest.raises(ValueError, match="shift deviation"):
             increment_from_periods(f, A, B, 0.05)
+
+    def test_deviation_precondition_names_first_failing_shift(self):
+        g = PrimeCyclicGroup(31)
+        A = ResidueSet(g, (0, 1, 2, 5, 9, 14))
+        f = normalized_indicator(dilate_set(A, -1))
+        conv = convolve(f, indicator(A)).values
+        B = BohrSet(g, (1,), 2.0)  # the whole group, in ascending order
+        devs = {t: float(np.max(np.abs(np.roll(conv, -t) - conv))) for t in range(31)}
+        eps = max(devs[1], devs[2]) + 0.001
+        t = next(t for t in range(31) if devs[t] > eps + 1e-12)
+        assert t > 2
+        expected = f"(t={t} gives {devs[t]:.6g} > eps={eps:.6g})"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            increment_from_periods(f, A, B, eps)
 
     def test_constructed_instance_meets_lemma_bound(self):
         g = PrimeCyclicGroup(31)
@@ -526,3 +639,117 @@ class TestIncrementDriver:
         assert step.density >= 0.5
         again = _search_general_increment(A, need_density=0.5, config=config)
         assert step == again
+
+
+def reference_singleton_search(A, need_density, config):
+    """The singleton search with one cumsum per (frequency, width) pair: the
+    reference for the blocked search."""
+    p = A.group.p
+    elements = np.asarray(A.elements)
+    js = _width_grid(p, config)
+    arange = np.arange(p)
+    for t in range(1, (p - 1) // 2 + 1):
+        pos = (t * elements) % p
+        arr = np.zeros(p, dtype=np.int64)
+        arr[pos] = 1
+        for j in js:
+            size_b = 2 * j + 1
+            if size_b < config.min_size:
+                continue
+            ext = np.concatenate([arr, arr[: 2 * j]])
+            csum = np.concatenate([[0], np.cumsum(ext)])
+            window = csum[2 * j + 1 :] - csum[: -(2 * j + 1)]
+            counts_y = window[(arange - j) % p]
+            need = need_density * size_b - BOUNDARY_TOL
+            qual = np.nonzero(counts_y >= need)[0]
+            if qual.size == 0:
+                continue
+            x = int(((qual * pow(t, -1, p)) % p).min())
+            candidate = BohrSet(A.group, (t,), _midpoint_width(p, j))
+            new_set = intersect(translate_set(A, -x), enumerate_members(candidate))
+            return IncrementStep(new_set, candidate, len(new_set) / size_b, "bohr-search")
+    return None
+
+
+def reference_general_search(A, need_density, config):
+    """The general search with one BohrSet, enumeration and convolution per
+    candidate width: the reference for the blocked search."""
+    from itertools import combinations
+
+    p = A.group.p
+    for dim in range(2, config.max_dim + 1):
+        for gamma in combinations(range(1, p), dim):
+            radii = periodicity.bohr_mod._radii(p, gamma)
+            uniq = np.unique(np.sort(radii))
+            n = max(1, min(config.width_grid, len(uniq) - 1))
+            picks = np.unique(np.linspace(1, len(uniq) - 1, n).astype(int))
+            seen_sizes = set()
+            for idx in picks:
+                w = float((uniq[idx] + (uniq[idx + 1] if idx + 1 < len(uniq) else 2.0)) / 2)
+                candidate = BohrSet(A.group, gamma, min(w, 2.0))
+                members = enumerate_members(candidate)
+                if len(members) < config.min_size or len(members) in seen_sizes:
+                    continue
+                seen_sizes.add(len(members))
+                counts = _counts_on_translates(A, members)
+                need = need_density * len(members) - BOUNDARY_TOL
+                qual = np.nonzero(counts >= need)[0]
+                if qual.size == 0:
+                    continue
+                x = int(qual.min())
+                new_set = intersect(translate_set(A, -x), members)
+                return IncrementStep(new_set, candidate, len(new_set) / len(members), "bohr-search")
+    return None
+
+
+def random_set(g, rng, lo, hi):
+    size = int(rng.integers(lo, hi))
+    return ResidueSet(g, tuple(int(v) for v in rng.choice(g.p, size=size, replace=False)))
+
+
+class TestBlockedSearches:
+    @pytest.mark.parametrize("p", [101, 211, 1009])
+    def test_singleton_search_matches_reference(self, p):
+        g = PrimeCyclicGroup(p)
+        rng = np.random.default_rng(p)
+        for _ in range(2 if p > 500 else 4):
+            A = random_set(g, rng, 3, p // 4)
+            alpha = len(A) / p
+            config = DriverConfig(
+                max_dim=1, min_size=int(rng.integers(3, 12)), width_grid=int(rng.integers(2, 17))
+            )
+            # The last two needs exceed every density: no hit.
+            for need in ((1 + 1 / 48) * alpha, 3 * alpha, 0.5, 1.01):
+                step = _search_singleton_increment(A, need, config)
+                assert step == reference_singleton_search(A, need, config)
+            assert _search_singleton_increment(A, 1.01, config) is None
+
+    def test_singleton_search_hit_in_a_late_block(self, monkeypatch):
+        # t0 A is an interval for a large frequency t0, so the only hit lies
+        # many blocks into the scan (t A with step 2 reaches density 35/69).
+        monkeypatch.setattr(periodicity, "BLOCK_ENTRIES", 3000)
+        p, t0 = 1009, 480
+        g = PrimeCyclicGroup(p)
+        c = pow(t0, -1, p)
+        A = ResidueSet(g, tuple(sorted((c * i) % p for i in range(40))))
+        config = DriverConfig(max_dim=1)
+        step = _search_singleton_increment(A, 0.55, config)
+        assert step is not None and step.bohr_set.frequencies == (t0,)
+        assert step == reference_singleton_search(A, 0.55, config)
+
+    @pytest.mark.parametrize("p", [31, 37])
+    def test_general_search_matches_reference(self, p):
+        g = PrimeCyclicGroup(p)
+        rng = np.random.default_rng(p)
+        for trial in range(3):
+            A = random_set(g, rng, 4, 13)
+            alpha = len(A) / p
+            config = DriverConfig(
+                max_dim=2, min_size=int(rng.integers(3, 9)), width_grid=int(rng.integers(4, 17))
+            )
+            needs = [(1 + 1 / 48) * alpha, 2.5 * alpha] + ([1.01] if trial == 0 else [])
+            for need in needs:
+                step = _search_general_increment(A, need, config)
+                assert step == reference_general_search(A, need, config)
+                if need > 1:
+                    assert step is None
